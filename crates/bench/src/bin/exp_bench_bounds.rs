@@ -27,27 +27,10 @@
 //! Pass `--out PATH` to redirect (default `BENCH_bounds.json`).
 use mpress::Mpress;
 use mpress_analyze::{BoundsAnalyzer, BoundsVerdict};
-use mpress_bench::jobs::{bert_job, gpt_job};
-use mpress_compaction::{InstrumentationPlan, MemoryDirective};
+use mpress_bench::jobs::{bert_job, directive_mutations, gpt_job};
 use mpress_hw::Machine;
 use mpress_model::zoo;
 use mpress_sim::{PoolKind, SimArena, Simulator};
-
-/// Rebuilds `plan` keeping only the directives `keep` accepts. Dropping
-/// a directive is always a valid plan spec (absence is the default), so
-/// every mutation emulates without input errors.
-fn filtered(
-    plan: &InstrumentationPlan,
-    keep: impl Fn(&MemoryDirective) -> bool,
-) -> InstrumentationPlan {
-    let mut out = InstrumentationPlan::new();
-    for (t, d) in plan.iter() {
-        if keep(d) {
-            out.assign(t, d.clone());
-        }
-    }
-    out
-}
 
 fn main() {
     let mut out_path = "BENCH_bounds.json".to_owned();
@@ -96,28 +79,7 @@ fn main() {
             let (plan, lowered) = mpress.plan().expect("planning succeeds");
             let graph = &lowered.graph;
             let analyzer = BoundsAnalyzer::new(mpress.machine(), graph);
-            let mutations: [(&str, InstrumentationPlan); 5] = [
-                ("chosen", plan.instrumentation.clone()),
-                ("bare", InstrumentationPlan::new()),
-                (
-                    "no-d2d",
-                    filtered(&plan.instrumentation, |d| {
-                        !matches!(d, MemoryDirective::SwapD2d(_))
-                    }),
-                ),
-                (
-                    "no-host",
-                    filtered(&plan.instrumentation, |d| {
-                        !matches!(d, MemoryDirective::SwapToHost(_))
-                    }),
-                ),
-                (
-                    "no-recompute",
-                    filtered(&plan.instrumentation, |d| {
-                        !matches!(d, MemoryDirective::Recompute)
-                    }),
-                ),
-            ];
+            let mutations = directive_mutations(&plan.instrumentation);
             for (label, variant) in &mutations {
                 cases += 1;
                 let bounds = analyzer.certify_with_arena(variant, &plan.device_map, &mut arena);

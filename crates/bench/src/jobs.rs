@@ -2,6 +2,7 @@
 //! §IV-A setup.
 
 use mpress::{Mpress, OptimizationSet, PlannerConfig};
+use mpress_compaction::{InstrumentationPlan, MemoryDirective};
 use mpress_hw::Machine;
 use mpress_model::{zoo, PrecisionPolicy, TransformerConfig};
 use mpress_pipeline::{PipelineJob, ScheduleKind};
@@ -103,4 +104,37 @@ pub fn tflops_cell(v: Option<f64>) -> String {
         Some(t) => format!("{t:.1}"),
         None => "OOM".to_owned(),
     }
+}
+
+/// A chosen plan and four directive-stripping mutations of it, labelled:
+/// `chosen`, `bare` (no directives), `no-d2d`, `no-host` and
+/// `no-recompute`. Dropping a directive is always a valid plan spec
+/// (absence is the default), so every mutation emulates without input
+/// errors. The soundness oracle `exp_bench_bounds` sweeps this set.
+pub fn directive_mutations(plan: &InstrumentationPlan) -> [(&'static str, InstrumentationPlan); 5] {
+    let filtered = |keep: fn(&MemoryDirective) -> bool| {
+        let mut out = InstrumentationPlan::new();
+        for (t, d) in plan.iter() {
+            if keep(d) {
+                out.assign(t, d.clone());
+            }
+        }
+        out
+    };
+    [
+        ("chosen", plan.clone()),
+        ("bare", InstrumentationPlan::new()),
+        (
+            "no-d2d",
+            filtered(|d| !matches!(d, MemoryDirective::SwapD2d(_))),
+        ),
+        (
+            "no-host",
+            filtered(|d| !matches!(d, MemoryDirective::SwapToHost(_))),
+        ),
+        (
+            "no-recompute",
+            filtered(|d| !matches!(d, MemoryDirective::Recompute)),
+        ),
+    ]
 }

@@ -95,6 +95,10 @@ impl From<mpress_api::ServeError> for CliError {
 /// bad flags or failed runs.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
     let (command, rest) = argv.split_first().ok_or(CliError::Usage)?;
+    // `<cmd> --help` asks for help, not for a flag named `help`.
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(usage());
+    }
     let parsed = args::Args::parse(rest)?;
     // Worker threads for parallel plan search (0 = auto; MPRESS_JOBS is
     // the env equivalent). Applies to every planning command.
@@ -186,6 +190,18 @@ mod tests {
     fn help_prints_usage() {
         let out = call(&["help"]).unwrap();
         assert!(out.contains("COMMANDS"));
+    }
+
+    #[test]
+    fn subcommand_help_prints_usage() {
+        for argv in [
+            &["client", "--help"][..],
+            &["plan", "--help"],
+            &["plan", "--model", "bert-1.67b", "-h"],
+        ] {
+            let out = call(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+            assert_eq!(out, usage(), "{argv:?}");
+        }
     }
 
     #[test]

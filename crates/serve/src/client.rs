@@ -28,6 +28,8 @@ impl Client {
     /// Propagates socket connect failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let writer = TcpStream::connect(addr)?;
+        // One write per request line (see `write_line`), sent at once.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client {
             reader,
@@ -44,12 +46,7 @@ impl Client {
     pub fn send(&mut self, request: &Request) -> Result<u64, ServeError> {
         let id = self.next_id;
         self.next_id += 1;
-        let line = encode_request_line(id, request);
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| ServeError::Io(format!("send: {e}")))?;
+        self.write_line(encode_request_line(id, request))?;
         Ok(id)
     }
 
@@ -59,9 +56,15 @@ impl Client {
     ///
     /// [`ServeError::Io`] on transport failure.
     pub fn send_raw(&mut self, line: &str) -> Result<(), ServeError> {
+        self.write_line(line.to_owned())
+    }
+
+    /// Terminates `line` and writes it in a single `write_all`, so it
+    /// leaves as one segment instead of a body plus a lone `\n`.
+    fn write_line(&mut self, mut line: String) -> Result<(), ServeError> {
+        line.push('\n');
         self.writer
             .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
             .and_then(|()| self.writer.flush())
             .map_err(|e| ServeError::Io(format!("send: {e}")))
     }

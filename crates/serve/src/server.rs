@@ -272,6 +272,9 @@ fn stats_body(shared: &Shared) -> Value {
 /// fed over a channel (the batcher routes responses into the same
 /// channel, so writes never interleave mid-line).
 fn handle_connection(shared: &Shared, stream: TcpStream) {
+    // Each response goes out as one write; with Nagle's algorithm on, a
+    // line could sit behind the peer's delayed ACK for up to 40 ms.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -279,8 +282,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     let (tx, rx) = mpsc::channel::<String>();
     let writer = thread::spawn(move || {
         let mut stream = stream;
-        for line in rx {
-            if stream.write_all(line.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
+        for mut line in rx {
+            line.push('\n');
+            if stream.write_all(line.as_bytes()).is_err() {
                 break;
             }
             let _ = stream.flush();

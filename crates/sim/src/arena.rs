@@ -7,10 +7,13 @@
 //! * [`Prebuilt`] caches every plan-independent table the engine used to
 //!   re-derive per run — per-op read/write/free tensor sets, per-tensor
 //!   recomputation costs (which require a sort over sub-events), the
-//!   producer/consumer tables, and the per-stage compute/comm sequences.
+//!   producer/consumer tables, the per-stage compute sequences, and the
+//!   lower bound's dependency DAG.
 //! * [`Buffers`] recycles the engine's per-run allocations (task list,
-//!   stream queues, residency, event heap, ready-set) between runs, so a
-//!   steady-state `emulate()` call performs almost no heap traffic.
+//!   stream queues, residency, event heap, ready-set) between runs, and
+//!   [`LbBuffers`] does the same for the lower bound, so a steady-state
+//!   `emulate()` or `cost_profile()` call performs almost no heap
+//!   traffic.
 //!
 //! The arena also hosts [`SimArena::makespan_lower_bound`], an analytic
 //! best-case bound the planner uses to skip emulating refinement
@@ -18,7 +21,14 @@
 //! pruning): the bound is the max of the dependency-graph critical path
 //! (per-stream FIFO chains plus cross-stage dependencies) and each copy
 //! engine's total transfer time, both of which every simulated schedule
-//! must respect.
+//! must respect. The DAG does not depend on the plan, so [`Prebuilt`]
+//! freezes it once per graph as a fixed topological order with CSR
+//! predecessor lists; each bound is then one allocation-free pull pass
+//! over the recomputation-folded op durations.
+//!
+//! Every table is keyed by a content fingerprint of the graph (every op
+//! duration and tensor size, hashed a word at a time), checked on each
+//! call: reusing one arena across graphs rebuilds the tables.
 
 use crate::device_map::DeviceMap;
 use crate::engine::StreamKind;
@@ -58,38 +68,164 @@ pub(crate) struct Prebuilt {
     pub(crate) writer_counts: Vec<usize>,
     /// Per-stage ordered compute-op task ids.
     pub(crate) compute_seq: Vec<Vec<usize>>,
-    /// Per-stage ordered comm-op task ids (send/recv FIFO chains).
-    pub(crate) comm_seq: Vec<Vec<usize>>,
     /// op -> (stage, position) on its stage's compute sequence.
     pub(crate) seq_pos: Vec<Option<(usize, usize)>>,
+    /// The lower bound's dependency DAG (see [`LbDag`]).
+    lb_dag: LbDag,
 }
 
-/// Cheap content fingerprint of a graph: shape plus every op duration.
-/// Collisions would need two *different* graphs with identical op count,
-/// tensor count, stage count, dependency count and duration sequence —
-/// and even then the damage is bounded to reusing equivalent tables.
+/// The lower bound's op dependency DAG: per-stage compute and comm FIFO
+/// chains plus the graph's cross-stage dependencies, frozen once per
+/// graph so each [`SimArena::cost_profile`] call only walks it.
+struct LbDag {
+    /// Op ids in the topological order Kahn's algorithm yields (ops on
+    /// or behind a dependency cycle are left out: they never start).
+    order: Vec<u32>,
+    /// CSR offsets: the predecessors of `order[k]` are
+    /// `pred_pos[pred_off[k]..pred_off[k + 1]]`.
+    pred_off: Vec<u32>,
+    /// Predecessors as positions in `order`, so the pass reads finish
+    /// times from a dense array it fills front to back.
+    pred_pos: Vec<u32>,
+}
+
+impl LbDag {
+    fn build(graph: &TrainingGraph, compute_seq: &[Vec<usize>], op_stream: &[StreamKind]) -> Self {
+        let n_ops = graph.ops().len();
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        for (stage, compute) in compute_seq.iter().enumerate() {
+            let comm: Vec<usize> = graph
+                .stage_program(stage)
+                .iter()
+                .map(|id| id.index())
+                .filter(|&i| op_stream[i] == StreamKind::Comm)
+                .collect();
+            for seq in [compute, &comm] {
+                edges.extend(seq.windows(2).map(|w| (w[0], w[1])));
+            }
+        }
+        edges.extend(
+            graph
+                .cross_deps()
+                .iter()
+                .map(|&(a, b)| (a.index(), b.index())),
+        );
+
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
+        let mut indeg = vec![0u32; n_ops];
+        for &(a, b) in &edges {
+            succ[a].push(b);
+            indeg[b] += 1;
+        }
+        let mut order: Vec<u32> = Vec::with_capacity(n_ops);
+        let mut stack: Vec<usize> = (0..n_ops).filter(|&i| indeg[i] == 0).collect();
+        while let Some(u) = stack.pop() {
+            order.push(u as u32);
+            for &v in &succ[u] {
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    stack.push(v);
+                }
+            }
+        }
+
+        let mut pos = vec![u32::MAX; n_ops];
+        for (k, &u) in order.iter().enumerate() {
+            pos[u as usize] = k as u32;
+        }
+        let mut pred_off = vec![0u32; order.len() + 1];
+        for &(_, b) in &edges {
+            if pos[b] != u32::MAX {
+                pred_off[pos[b] as usize + 1] += 1;
+            }
+        }
+        for k in 0..order.len() {
+            pred_off[k + 1] += pred_off[k];
+        }
+        let mut fill = pred_off.clone();
+        let mut pred_pos = vec![0u32; pred_off[order.len()] as usize];
+        for &(a, b) in &edges {
+            // A placed op's predecessors are all placed before it.
+            if pos[b] != u32::MAX {
+                let slot = &mut fill[pos[b] as usize];
+                pred_pos[*slot as usize] = pos[a];
+                *slot += 1;
+            }
+        }
+        LbDag {
+            order,
+            pred_off,
+            pred_pos,
+        }
+    }
+
+    /// Longest path through the DAG under per-op durations `dur`:
+    /// `start = max(0, finish[pred]…)`, `finish = start + dur`, in one
+    /// pass over the topological order. `finish` is scratch space.
+    ///
+    /// The bits do not depend on the walk: `max` is exact and
+    /// order-free, so any traversal that respects the edges forms every
+    /// start as the same maximum of the same finish times, and every
+    /// finish as the same single sum.
+    fn critical_path(&self, dur: &[Secs], finish: &mut Vec<Secs>) -> Secs {
+        finish.clear();
+        let mut critical_path = 0.0_f64;
+        for (&u, off) in self.order.iter().zip(self.pred_off.windows(2)) {
+            let mut start = 0.0_f64;
+            for &p in &self.pred_pos[off[0] as usize..off[1] as usize] {
+                let f = finish[p as usize];
+                if f > start {
+                    start = f;
+                }
+            }
+            let f = start + dur[u as usize];
+            critical_path = critical_path.max(f);
+            finish.push(f);
+        }
+        critical_path
+    }
+}
+
+/// Content fingerprint of a graph: shape plus every op duration and
+/// every tensor size. Collisions would need two *different* graphs with
+/// identical op count, tensor count, stage count, dependency count and
+/// duration and size sequences — and even then the damage is bounded to
+/// reusing equivalent tables.
 ///
 /// Public so cross-run caches (the planner's process-global `PlanCache`)
 /// can scope their keys to the graph content they were computed for.
+/// Values are process-local keys, never persisted: they may change
+/// between releases.
 pub fn graph_fingerprint(graph: &TrainingGraph) -> u64 {
     fingerprint(graph)
 }
 
 /// Private implementation of [`graph_fingerprint`]; also keys
-/// [`Prebuilt`] table reuse inside [`SimArena`].
+/// [`Prebuilt`] table reuse inside [`SimArena`], so it runs on every
+/// bound and every emulator run.
 fn fingerprint(graph: &TrainingGraph) -> u64 {
-    let mut h = Fnv::new();
-    h.write(graph.ops().len() as u64);
-    h.write(graph.tensors().len() as u64);
-    h.write(graph.n_stages() as u64);
-    h.write(graph.cross_deps().len() as u64);
-    for op in graph.ops() {
-        h.write(op.duration.to_bits());
-    }
-    for t in graph.tensors() {
-        h.write(t.bytes.as_u64());
-    }
-    h.finish()
+    let shape = [
+        graph.ops().len() as u64,
+        graph.tensors().len() as u64,
+        graph.n_stages() as u64,
+        graph.cross_deps().len() as u64,
+    ];
+    let durations = graph.ops().iter().map(|op| op.duration.to_bits());
+    let sizes = graph.tensors().iter().map(|t| t.bytes.as_u64());
+    shape
+        .into_iter()
+        .chain(durations)
+        .chain(sizes)
+        .fold(0xcbf2_9ce4_8422_2325, mix)
+}
+
+/// One word-at-a-time hashing step. For a fixed word `v` the step is a
+/// bijection of the state (xor, multiply by an odd constant, xorshift),
+/// so two equally long word sequences that differ in exactly one word
+/// always hash differently.
+fn mix(h: u64, v: u64) -> u64 {
+    let h = (h ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    h ^ (h >> 32)
 }
 
 impl Prebuilt {
@@ -156,10 +292,9 @@ impl Prebuilt {
             consumers.sort_unstable();
         }
 
-        // Per-stage compute/comm sequences and each compute op's position
-        // — prefetch triggers anchor a few ops upstream of the consumer.
+        // Per-stage compute sequences and each compute op's position —
+        // prefetch triggers anchor a few ops upstream of the consumer.
         let mut compute_seq: Vec<Vec<usize>> = Vec::with_capacity(graph.n_stages());
-        let mut comm_seq: Vec<Vec<usize>> = Vec::with_capacity(graph.n_stages());
         let mut seq_pos: Vec<Option<(usize, usize)>> = vec![None; n_ops];
         for stage in 0..graph.n_stages() {
             let program = graph.stage_program(stage);
@@ -172,14 +307,8 @@ impl Prebuilt {
                 seq_pos[i] = Some((stage, pos));
             }
             compute_seq.push(seq);
-            comm_seq.push(
-                program
-                    .iter()
-                    .map(|id| id.index())
-                    .filter(|&i| op_stream[i] == StreamKind::Comm)
-                    .collect(),
-            );
         }
+        let lb_dag = LbDag::build(graph, &compute_seq, &op_stream);
 
         Prebuilt {
             fingerprint,
@@ -209,8 +338,8 @@ impl Prebuilt {
             consumers_of,
             writer_counts,
             compute_seq,
-            comm_seq,
             seq_pos,
+            lb_dag,
         }
     }
 }
@@ -284,6 +413,18 @@ pub(crate) struct Buffers {
     pub(crate) specs: Vec<crate::engine::LegSpec>,
 }
 
+/// Recycled [`SimArena::cost_profile`] buffers. Kept apart from
+/// [`Buffers`], which the engine moves into and out of its run state.
+#[derive(Default)]
+struct LbBuffers {
+    /// tensor -> has a recompute directive.
+    recompute: Vec<bool>,
+    /// op -> recomputation-folded duration.
+    dur: Vec<Secs>,
+    /// Finish times in DAG order.
+    finish: Vec<Secs>,
+}
+
 /// A reusable allocation arena for repeated simulator runs.
 ///
 /// ```no_run
@@ -306,6 +447,7 @@ pub(crate) struct Buffers {
 pub struct SimArena {
     prebuilt: Option<Prebuilt>,
     buffers: Buffers,
+    lb_buffers: LbBuffers,
 }
 
 impl std::fmt::Debug for SimArena {
@@ -397,6 +539,16 @@ impl ArenaPool {
     }
 }
 
+/// The tables in `slot`, rebuilt first unless they were built from a
+/// graph with `graph`'s fingerprint.
+fn refresh<'a>(slot: &'a mut Option<Prebuilt>, graph: &TrainingGraph) -> &'a Prebuilt {
+    let fp = fingerprint(graph);
+    if slot.as_ref().is_some_and(|p| p.fingerprint != fp) {
+        *slot = None;
+    }
+    slot.get_or_insert_with(|| Prebuilt::build(graph, fp))
+}
+
 impl SimArena {
     /// An empty arena; tables materialize on first use.
     pub fn new() -> Self {
@@ -405,10 +557,7 @@ impl SimArena {
 
     /// Makes sure the cached tables match `graph`, rebuilding on change.
     pub(crate) fn ensure(&mut self, graph: &TrainingGraph) {
-        let fp = fingerprint(graph);
-        if self.prebuilt.as_ref().map(|p| p.fingerprint) != Some(fp) {
-            self.prebuilt = Some(Prebuilt::build(graph, fp));
-        }
+        refresh(&mut self.prebuilt, graph);
     }
 
     pub(crate) fn prebuilt(&self) -> &Prebuilt {
@@ -447,7 +596,11 @@ impl SimArena {
     /// * **Critical path** over the op dependency DAG, where consecutive
     ///   ops on one FIFO stream (compute/comm per stage) and cross-stage
     ///   dependencies are edges, and durations carry the same
-    ///   recomputation folds the engine applies at build time.
+    ///   recomputation folds the engine applies at build time. The DAG
+    ///   is plan-independent, prebuilt once per graph as a fixed
+    ///   topological order with CSR predecessor lists, so a call only
+    ///   folds durations (per op, in read order) and makes one pull pass
+    ///   over that order, with no allocation in steady state.
     /// * **Copy-engine load**: each swap directive expands into exactly
     ///   the copy legs the engine builds (initial export for dynamic
     ///   tensors, one import per consumer, re-exports between consumers
@@ -456,6 +609,11 @@ impl SimArena {
     ///
     /// The bound ignores memory gating, admission windows and evictions,
     /// all of which only *delay* work — so it stays a true lower bound.
+    ///
+    /// The result is bit-for-bit stable: the planner keys its frontier on
+    /// `makespan_lo.to_bits()`, so every sum here is formed in a fixed
+    /// order, and the critical path combines sums only through `max`,
+    /// which is exact whatever the traversal order.
     ///
     /// The upper-bound ingredients mirror the engine's accounting the
     /// other way: the clock only ever advances to a task's completion
@@ -473,60 +631,32 @@ impl SimArena {
         plan: &InstrumentationPlan,
         device_map: &DeviceMap,
     ) -> CostProfile {
-        self.ensure(graph);
-        let pre = self.prebuilt();
-        let n_ops = pre.n_ops;
+        let pre = refresh(&mut self.prebuilt, graph);
+        let buf = &mut self.lb_buffers;
 
-        let mut directive: Vec<Option<&MemoryDirective>> = vec![None; pre.n_tensors];
+        let recompute = &mut buf.recompute;
+        recompute.clear();
+        recompute.resize(pre.n_tensors, false);
         for (t, d) in plan.iter() {
-            directive[t.index()] = Some(d);
+            if matches!(d, MemoryDirective::Recompute) {
+                recompute[t.index()] = true;
+            }
         }
 
-        // Folded durations — identical rule to the engine's task build.
-        let mut dur = pre.op_duration.clone();
-        #[allow(clippy::needless_range_loop)]
-        for idx in 0..n_ops {
-            for &r in &pre.op_reads[idx] {
-                if matches!(directive[r], Some(MemoryDirective::Recompute)) {
-                    dur[idx] += pre.recompute_cost[r];
+        // Folded durations — identical rule (and summation order) to the
+        // engine's task build.
+        let dur = &mut buf.dur;
+        dur.clear();
+        dur.extend_from_slice(&pre.op_duration);
+        for (d, reads) in dur.iter_mut().zip(&pre.op_reads) {
+            for &r in reads {
+                if recompute[r] {
+                    *d += pre.recompute_cost[r];
                 }
             }
         }
         let op_total: Secs = dur.iter().sum();
-
-        // DAG longest path via Kahn's algorithm over chain + cross edges.
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
-        let mut indeg = vec![0u32; n_ops];
-        let mut chain = |seq: &[usize]| {
-            for w in seq.windows(2) {
-                succ[w[0]].push(w[1]);
-                indeg[w[1]] += 1;
-            }
-        };
-        for stage in 0..graph.n_stages() {
-            chain(&pre.compute_seq[stage]);
-            chain(&pre.comm_seq[stage]);
-        }
-        for &(a, b) in graph.cross_deps() {
-            succ[a.index()].push(b.index());
-            indeg[b.index()] += 1;
-        }
-        let mut start = vec![0.0_f64; n_ops];
-        let mut queue: Vec<usize> = (0..n_ops).filter(|&i| indeg[i] == 0).collect();
-        let mut critical_path = 0.0_f64;
-        while let Some(u) = queue.pop() {
-            let finish = start[u] + dur[u];
-            critical_path = critical_path.max(finish);
-            for &v in &succ[u] {
-                if finish > start[v] {
-                    start[v] = finish;
-                }
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
+        let critical_path = pre.lb_dag.critical_path(dur, &mut buf.finish);
 
         // Per-device copy-stream load, mirroring the engine's swap-leg
         // construction exactly (leg counts, not schedules). The same walk
@@ -587,7 +717,7 @@ impl SimArena {
         CostProfile {
             makespan_lo: critical_path.max(copy_bound),
             total_task_time: op_total + leg_total,
-            n_tasks: n_ops + n_legs,
+            n_tasks: pre.n_ops + n_legs,
             n_tensors: pre.n_tensors,
             max_evict_leg,
         }
@@ -629,23 +759,81 @@ impl CostProfile {
     }
 }
 
-/// Minimal FNV-1a 64-bit hasher (std-only; `DefaultHasher` is not
-/// guaranteed stable across releases and this hash feeds fingerprints).
-pub(crate) struct Fnv(u64);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpress_graph::TensorKind;
 
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+    /// Two stages of forward + backward around a host-swapped
+    /// activation, with a send/recv pair and a cross-stage dependency;
+    /// `dur` scales the first forward op and `act` sizes the activation.
+    fn graph(dur: Secs, act: u64) -> TrainingGraph {
+        let mut b = TrainingGraph::builder(2);
+        let w = b.add_tensor(TensorKind::Parameter, Bytes::mib(64), 0, Some(0), None);
+        let a = b.add_tensor(TensorKind::Activation, Bytes::mib(act), 0, Some(0), Some(0));
+        let x = b.add_tensor(TensorKind::Boundary, Bytes::mib(8), 1, None, Some(0));
+        let fwd = b.add_op(OpKind::Forward, 0, Some(0), dur, |op| {
+            op.reads.push(w);
+            op.writes.push(a);
+        });
+        let send = b.add_op(OpKind::Send, 0, Some(0), 0.001, |op| op.reads.push(a));
+        let recv = b.add_op(OpKind::Recv, 1, Some(0), 0.001, |op| op.writes.push(x));
+        let bwd = b.add_op(OpKind::Backward, 1, Some(0), 0.02, |op| op.reads.push(x));
+        b.add_op(OpKind::Backward, 0, Some(0), 0.02, |op| {
+            op.reads.extend([w, a]);
+            op.frees.push(a);
+        });
+        b.add_dep(fwd, send);
+        b.add_dep(send, recv);
+        b.add_dep(recv, bwd);
+        b.build().expect("valid graph")
     }
 
-    pub(crate) fn write(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    fn profile(arena: &mut SimArena, graph: &TrainingGraph) -> CostProfile {
+        let mut plan = InstrumentationPlan::new();
+        plan.assign(
+            mpress_graph::TensorId(1),
+            MemoryDirective::SwapToHost(HostTier::Dram),
+        );
+        let map = DeviceMap::identity(graph.n_stages());
+        arena.cost_profile(&Machine::dgx1(), graph, &plan, &map)
+    }
+
+    #[test]
+    fn fingerprint_sees_every_duration_and_size() {
+        let base = graph(0.01, 256);
+        let longer = graph(0.011, 256);
+        let bigger = graph(0.01, 257);
+        let fp = graph_fingerprint(&base);
+        assert_eq!(fp, graph_fingerprint(&graph(0.01, 256)));
+        assert_ne!(fp, graph_fingerprint(&longer));
+        assert_ne!(fp, graph_fingerprint(&bigger));
+        assert_ne!(graph_fingerprint(&longer), graph_fingerprint(&bigger));
+    }
+
+    #[test]
+    fn reused_arena_rebuilds_for_a_changed_graph() {
+        let base = graph(0.01, 256);
+        let mut arena = SimArena::new();
+        let before = profile(&mut arena, &base);
+        assert!(before.makespan_lo > 0.0);
+        for changed in [graph(0.05, 256), graph(0.01, 4096)] {
+            let fresh = profile(&mut SimArena::new(), &changed);
+            assert_ne!(fresh, before, "the change must move the profile");
+            assert_eq!(profile(&mut arena, &changed), fresh);
+            assert_eq!(profile(&mut arena, &base), before);
         }
     }
 
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
+    #[test]
+    fn critical_path_follows_chains_and_cross_deps() {
+        let g = graph(0.01, 256);
+        let pre = Prebuilt::build(&g, fingerprint(&g));
+        assert_eq!(pre.lb_dag.order.len(), g.ops().len());
+        let dur: Vec<Secs> = g.ops().iter().map(|o| o.duration).collect();
+        let mut finish = Vec::new();
+        // fwd -> send -> recv -> bwd(stage 1) beats fwd -> bwd(stage 0).
+        let longest = ((0.01 + 0.001) + 0.001) + 0.02;
+        assert_eq!(pre.lb_dag.critical_path(&dur, &mut finish), longest);
     }
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification gate: formatting, release build, test suite, lint,
+# Full verification gate: formatting, release build (workspace and the
+# perfbench benchmark), test suite, lint,
 # high-worker-count determinism, the telemetry JSON contract, the
 # certified-bounds soundness oracle, and the planner/emulator/search/
 # service smoke-runs (write BENCH_planner.json, BENCH_sim.json,
@@ -15,6 +16,12 @@ echo "== build (release) =="
 # --workspace: the root manifest is also the suite package, and a bare
 # `cargo build` would skip the member-only binaries (mpress-cli, exp_*).
 cargo build --release --workspace
+
+echo "== build the benchmark (perfbench, its own workspace) =="
+# perfbench/ has an empty [workspace] table, so --workspace above never
+# builds it; without this step a crate API change could break the
+# benchmark unnoticed.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== tests =="
 cargo test -q
